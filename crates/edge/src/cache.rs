@@ -4,7 +4,7 @@
 //! ## Serving model
 //!
 //! GET requests are keyed by `host + path` and answered from the
-//! [`EdgeStore`] when the stored entry is
+//! [`TieredStore`] when the stored entry is
 //! still fresh; everything else (non-GET, internal traffic, HTML)
 //! passes through. A miss or stale entry enters **single-flight**: the
 //! first requester becomes the leader and performs the one upstream
@@ -43,7 +43,7 @@ use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext};
 use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, Recorder, Registry};
 use parking_lot::Mutex;
 
-use crate::store::{EdgeStore, MarkOutcome, StoreOptions, StoredEntry, Tier, TierHit};
+use crate::store::{MarkOutcome, StoreOptions, StoredEntry, Tier, TierHit, TieredStore};
 
 /// Minimal JSON string escaping for the inspector document.
 fn json_escape(s: impl ToString) -> String {
@@ -436,7 +436,7 @@ struct Hop {
 /// [`TcpEdge`](crate::tcp::TcpEdge), or under another decorator.
 pub struct EdgeCache<U> {
     upstream: U,
-    store: EdgeStore,
+    store: TieredStore,
     /// Single-flight table: one lock per key currently being fetched.
     flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     registry: Arc<Registry>,
@@ -644,6 +644,34 @@ impl<U: Upstream> EdgeCache<U> {
                 body_digest: body.map(fnv64),
             },
         });
+    }
+
+    /// Serves a fresh stored entry: counts the hit, classifies it (a
+    /// live negative entry, a disk-tier hit just promoted into DRAM,
+    /// or a DRAM hit) and replays it to this client.
+    fn serve_hit(
+        &self,
+        req: &Request,
+        entry: &StoredEntry,
+        tier: TierHit,
+    ) -> (Response, CacheDecision) {
+        let decision = if entry.negative {
+            self.counters.negative_hits.inc();
+            CacheDecision::EdgeNegative
+        } else if tier == TierHit::Disk {
+            self.counters.hits.inc();
+            self.counters.disk_hits.inc();
+            self.sync_store_series();
+            CacheDecision::EdgeDiskHit
+        } else {
+            self.counters.hits.inc();
+            CacheDecision::EdgeHit
+        };
+        self.counters
+            .hit_bytes
+            .add(entry.response.body.len() as u64);
+        let resp = Self::replay(req, &entry.response, entry.etag.as_ref());
+        (resp, decision)
     }
 
     /// Serves cached (or just-fetched) bytes to this client, answering
@@ -880,22 +908,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
         // negative entry. A disk-tier hit was just promoted into DRAM.
         if let Some((entry, tier)) = self.store.get_traced(&key) {
             if t_secs < entry.fresh_until {
-                let decision = if entry.negative {
-                    self.counters.negative_hits.inc();
-                    CacheDecision::EdgeNegative
-                } else if tier == TierHit::Disk {
-                    self.counters.hits.inc();
-                    self.counters.disk_hits.inc();
-                    self.sync_store_series();
-                    CacheDecision::EdgeDiskHit
-                } else {
-                    self.counters.hits.inc();
-                    CacheDecision::EdgeHit
-                };
-                self.counters
-                    .hit_bytes
-                    .add(entry.response.body.len() as u64);
-                let resp = Self::replay(req, &entry.response, entry.etag.as_ref());
+                let (resp, decision) = self.serve_hit(req, &entry, tier);
                 self.audit(
                     host,
                     req,
@@ -925,27 +938,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
         // Holding the flight lock: re-check the store, because another
         // request may have landed the object while we queued.
         let (resp, decision) = match self.store.get_traced(&key) {
-            Some((entry, tier)) if t_secs < entry.fresh_until => {
-                let decision = if entry.negative {
-                    self.counters.negative_hits.inc();
-                    CacheDecision::EdgeNegative
-                } else if tier == TierHit::Disk {
-                    self.counters.hits.inc();
-                    self.counters.disk_hits.inc();
-                    self.sync_store_series();
-                    CacheDecision::EdgeDiskHit
-                } else {
-                    self.counters.hits.inc();
-                    CacheDecision::EdgeHit
-                };
-                self.counters
-                    .hit_bytes
-                    .add(entry.response.body.len() as u64);
-                (
-                    Self::replay(req, &entry.response, entry.etag.as_ref()),
-                    decision,
-                )
-            }
+            Some((entry, tier)) if t_secs < entry.fresh_until => self.serve_hit(req, &entry, tier),
             stale => {
                 self.counters.misses.inc();
                 let stale = stale.map(|(entry, _)| entry);

@@ -6,7 +6,7 @@
 //!
 //! The tier is built from three layers:
 //!
-//! * [`TieredStore`] (alias [`EdgeStore`]) — the object store: a
+//! * [`TieredStore`] — the object store: a
 //!   sharded, byte-budgeted DRAM front with LRU eviction and negative
 //!   caching of 404s, plus an optional persistent segment-file tier
 //!   with admission control and crash-tolerant warm restarts
@@ -54,8 +54,8 @@ pub mod tcp;
 
 pub use cache::{EdgeBuilder, EdgeCache, EdgeMetrics};
 pub use store::{
-    AdmissionPolicy, DiskStats, DiskTierOptions, EdgeStore, EntryInfo, MarkOutcome, StoreOptions,
-    StoredEntry, Tier, TierHit, TierStats, TieredCounters, TieredStore,
+    AdmissionPolicy, DiskStats, DiskTierOptions, EntryInfo, MarkOutcome, StoreOptions, StoredEntry,
+    Tier, TierHit, TierStats, TieredCounters, TieredStore,
 };
 pub use tcp::{EdgeServeOptions, TcpEdge};
 

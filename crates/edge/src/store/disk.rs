@@ -9,7 +9,7 @@
 //! stay under the byte budget — a log-structured layout with segment
 //! granularity instead of per-record compaction.
 //!
-//! Each record carries an FNV-1a checksum over its header, key and
+//! Each record carries an XXH64 checksum over its header, key and
 //! encoded response. Recovery scans every segment sequentially,
 //! stopping a segment at the first record that fails validation and
 //! truncating the file back to the last valid boundary — so a crash
@@ -19,22 +19,25 @@
 //! immediately, and the first verified catalyst config map re-freshens
 //! the matching ones through [`Tier::mark`] with zero origin contact.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cachecatalyst_httpwire::{codec, EntityTag, Method, ParseLimits, Parsed};
 use parking_lot::Mutex;
 
-use super::{fnv64, AdmissionPolicy, EntryInfo, MarkOutcome, StoredEntry, Tier, TierStats};
+use super::{AdmissionPolicy, EntryInfo, MarkOutcome, StoredEntry, Tier, TierStats};
 
-/// First four bytes of every record.
-const MAGIC: u32 = 0xED6E_5E61;
+/// First four bytes of every record. Record format v2 (XXH64
+/// trailer); v1 records (`0xED6E_5E61`, FNV-1a trailer) fail
+/// [`decode_header`], so a pre-v2 directory boots cold.
+const MAGIC: u32 = 0xED6E_5E62;
 /// magic + key_len + wire_len + validated_at + fresh_until + flags.
 const HEADER_LEN: usize = 4 + 4 + 4 + 8 + 8 + 4;
-/// Trailing FNV-1a checksum.
+/// Trailing XXH64 checksum.
 const TRAILER_LEN: usize = 8;
 const FLAG_NEGATIVE: u32 = 1;
 /// Sanity bounds applied during recovery; anything larger is treated
@@ -105,14 +108,18 @@ struct IndexEntry {
     recovered: bool,
 }
 
+/// One segment file: its length and the handle every read and append
+/// goes through (opened read + append).
+struct Segment {
+    len: u64,
+    file: File,
+}
+
 struct DiskState {
     index: HashMap<String, IndexEntry>,
-    /// Segment id → bytes written (the active segment included).
-    segments: BTreeMap<u64, u64>,
+    /// Segment id → file (the active segment included).
+    segments: BTreeMap<u64, Segment>,
     active_id: u64,
-    active: File,
-    /// Bytes appended to the active segment so far.
-    written: u64,
     /// Sum of live (indexed) wire bytes; segment files additionally
     /// hold garbage awaiting retirement.
     live_bytes: usize,
@@ -167,11 +174,79 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("seg-{id:08}.seg"))
 }
 
+fn open_segment(dir: &Path, id: u64) -> std::io::Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(segment_path(dir, id))
+}
+
 fn segment_id(name: &str) -> Option<u64> {
     name.strip_prefix("seg-")?
         .strip_suffix(".seg")?
         .parse()
         .ok()
+}
+
+/// XXH64 with seed 0: four independent u64 lanes per 32-byte stripe,
+/// so the multiply chains overlap instead of running one per byte.
+fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    let round = |acc: u64, word: u64| {
+        (acc.wrapping_add(word.wrapping_mul(P2)))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let u64_at = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("an 8-byte slice"));
+    let stripes = bytes.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = round(*lane, u64_at(word));
+            }
+        }
+        let mut h = (v[0].rotate_left(1))
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for lane in v {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while tail.len() >= 8 {
+        h = (h ^ round(0, u64_at(tail)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u64::from(le_u32(tail));
+        h = (h ^ word.wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(P2);
+    h = (h ^ (h >> 29)).wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 fn encode_record(key: &str, entry: &StoredEntry) -> Vec<u8> {
@@ -185,7 +260,7 @@ fn encode_record(key: &str, entry: &StoredEntry) -> Vec<u8> {
     rec.extend_from_slice(&if entry.negative { FLAG_NEGATIVE } else { 0 }.to_le_bytes());
     rec.extend_from_slice(key.as_bytes());
     rec.extend_from_slice(&wire);
-    let sum = fnv64(&rec);
+    let sum = xxh64(&rec);
     rec.extend_from_slice(&sum.to_le_bytes());
     rec
 }
@@ -240,10 +315,10 @@ impl DiskTier {
 
         let mut index: HashMap<String, IndexEntry> = HashMap::new();
         let mut segments = BTreeMap::new();
-        for id in &ids {
-            let path = segment_path(&opts.dir, *id);
-            let len = Self::recover_segment(&path, *id, &mut index)?;
-            segments.insert(*id, len);
+        for &id in &ids {
+            let mut file = open_segment(&opts.dir, id)?;
+            let len = Self::recover_segment(&mut file, id, &mut index)?;
+            segments.insert(id, Segment { len, file });
         }
         let recovered = index.len() as u64;
         let live_bytes = index.values().map(|e| e.wire_len as usize).sum();
@@ -253,16 +328,14 @@ impl DiskTier {
         let segment_bytes = opts.segment_bytes;
         let last = ids.last().copied();
         let active_id = match last {
-            Some(id) if segments[&id] < segment_bytes => id,
+            Some(id) if segments[&id].len < segment_bytes => id,
             Some(id) => id + 1,
             None => 0,
         };
-        let written = segments.get(&active_id).copied().unwrap_or(0);
-        segments.entry(active_id).or_insert(0);
-        let active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(&opts.dir, active_id))?;
+        if let btree_map::Entry::Vacant(slot) = segments.entry(active_id) {
+            let file = open_segment(&opts.dir, active_id)?;
+            slot.insert(Segment { len: 0, file });
+        }
 
         Ok(DiskTier {
             dir: opts.dir.clone(),
@@ -272,8 +345,6 @@ impl DiskTier {
                 index,
                 segments,
                 active_id,
-                active,
-                written,
                 live_bytes,
             }),
             hits: AtomicU64::new(0),
@@ -291,11 +362,12 @@ impl DiskTier {
     /// file at the first invalid one. Returns the segment's valid
     /// length.
     fn recover_segment(
-        path: &Path,
+        file: &mut File,
         id: u64,
         index: &mut HashMap<String, IndexEntry>,
     ) -> std::io::Result<u64> {
-        let buf = fs::read(path)?;
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
         let mut pos = 0usize;
         while pos < buf.len() {
             let Some(header) = decode_header(&buf[pos..]) else {
@@ -312,7 +384,7 @@ impl DiskTier {
                     .try_into()
                     .unwrap(),
             );
-            if fnv64(payload) != stored_sum {
+            if xxh64(payload) != stored_sum {
                 break;
             }
             let key_bytes = &payload[HEADER_LEN..HEADER_LEN + header.key_len as usize];
@@ -348,12 +420,14 @@ impl DiskTier {
         if pos < buf.len() {
             // Drop the invalid tail so the next append starts at a
             // clean record boundary.
-            OpenOptions::new()
-                .write(true)
-                .open(path)?
-                .set_len(pos as u64)?;
+            file.set_len(pos as u64)?;
         }
         Ok(pos as u64)
+    }
+
+    /// Total bytes across all segment files, garbage included.
+    fn file_bytes(state: &DiskState) -> u64 {
+        state.segments.values().map(|s| s.len).sum()
     }
 
     fn remove_live(state: &mut DiskState, key: &str) -> Option<IndexEntry> {
@@ -365,11 +439,12 @@ impl DiskTier {
     /// Retires oldest segments until total file bytes fit the budget.
     /// The active segment is never retired.
     fn enforce_budget(&self, state: &mut DiskState) {
-        while state.segments.values().sum::<u64>() > self.byte_budget && state.segments.len() > 1 {
+        while Self::file_bytes(state) > self.byte_budget && state.segments.len() > 1 {
             let oldest = *state.segments.keys().next().unwrap();
             if oldest == state.active_id {
                 break;
             }
+            // Dropping the handle closes the file before it is unlinked.
             state.segments.remove(&oldest);
             let _ = fs::remove_file(segment_path(&self.dir, oldest));
             let doomed: Vec<String> = state
@@ -411,7 +486,7 @@ impl DiskTier {
         DiskStats {
             objects: state.index.len(),
             live_bytes: state.live_bytes,
-            segment_file_bytes: state.segments.values().sum(),
+            segment_file_bytes: Self::file_bytes(&state),
             segments: state.segments.len(),
             hits: self.hits.load(Ordering::Relaxed),
             written_bytes: self.written_bytes.load(Ordering::Relaxed),
@@ -431,16 +506,15 @@ impl DiskTier {
         let (segment, offset, record_len) = (entry.segment, entry.offset, entry.record_len);
         let (key_len, wire_len) = (entry.key_len as usize, entry.wire_len as usize);
         let mut buf = vec![0u8; record_len as usize];
-        let read = (|| -> std::io::Result<()> {
-            let mut file = File::open(segment_path(&self.dir, segment))?;
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(&mut buf)
-        })();
+        let read = match state.segments.get(&segment) {
+            Some(seg) => seg.file.read_exact_at(&mut buf, offset),
+            None => Err(std::io::ErrorKind::NotFound.into()),
+        };
         let parsed = read.ok().and_then(|()| {
             let payload = &buf[..HEADER_LEN + key_len + wire_len];
             let stored_sum =
                 u64::from_le_bytes(buf[buf.len() - TRAILER_LEN..][..8].try_into().ok()?);
-            if fnv64(payload) != stored_sum {
+            if xxh64(payload) != stored_sum {
                 return None;
             }
             let wire = &payload[HEADER_LEN + key_len..];
@@ -485,28 +559,25 @@ impl Tier for DiskTier {
         let mut state = self.state.lock();
         // Rotate when the active segment is full (a record larger than
         // a whole segment gets a dedicated one).
-        if state.written > 0 && state.written + rec.len() as u64 > self.segment_bytes {
+        let written = state.segments[&state.active_id].len;
+        if written > 0 && written + rec.len() as u64 > self.segment_bytes {
             let next = state.active_id + 1;
-            let file = match OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(segment_path(&self.dir, next))
-            {
-                Ok(f) => f,
-                Err(_) => return false,
+            let Ok(file) = open_segment(&self.dir, next) else {
+                return false;
             };
             state.active_id = next;
-            state.active = file;
-            state.written = 0;
-            state.segments.insert(next, 0);
+            state.segments.insert(next, Segment { len: 0, file });
         }
-        if state.active.write_all(&rec).is_err() {
+        let active_id = state.active_id;
+        let active = state
+            .segments
+            .get_mut(&active_id)
+            .expect("the active segment is always in the map");
+        if active.file.write_all(&rec).is_err() {
             return false;
         }
-        let offset = state.written;
-        state.written += rec.len() as u64;
-        let (active_id, written) = (state.active_id, state.written);
-        state.segments.insert(active_id, written);
+        let offset = active.len;
+        active.len += rec.len() as u64;
         self.written_bytes
             .fetch_add(rec.len() as u64, Ordering::Relaxed);
         // The old record (if any) becomes garbage in its segment.
@@ -727,6 +798,108 @@ mod tests {
         let tier = DiskTier::open(&DiskTierOptions::at(&dir)).unwrap();
         assert_eq!(tier.disk_stats().recovered, 0, "corrupt record not indexed");
         assert!(tier.get("h/a").is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn xxh64_matches_the_reference_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one full stripe plus a 4-byte and a 3-byte tail.
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    /// The three small records the flip and crash-offset tests write,
+    /// in order.
+    const THREE: [(&str, &str); 3] = [("h/a", "alpha"), ("h/b", "beta"), ("h/c", "gamma")];
+
+    /// Writes [`THREE`] through a tier at `dir`; returns the segment's
+    /// bytes and the end offset of each record.
+    fn write_three(dir: &Path) -> (Vec<u8>, Vec<usize>) {
+        let tier = DiskTier::open(&DiskTierOptions::at(dir)).unwrap();
+        let mut ends = Vec::new();
+        for (key, body) in THREE {
+            tier.insert(key, entry(body, "v1", 5, 60));
+            ends.push(tier.disk_stats().segment_file_bytes as usize);
+        }
+        drop(tier);
+        (fs::read(segment_path(dir, 0)).unwrap(), ends)
+    }
+
+    /// Asserts that exactly the records of [`THREE`] whose index
+    /// `served(i)` approves come back, each with its original body.
+    fn assert_serves(tier: &DiskTier, served: impl Fn(usize) -> bool, ctx: &str) {
+        for (i, (key, body)) in THREE.into_iter().enumerate() {
+            let got = tier.get(key).map(|e| e.response.body.to_vec());
+            let want = served(i).then(|| body.as_bytes().to_vec());
+            assert_eq!(got, want, "{ctx}: record {i}");
+        }
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_a_miss_live_and_after_reopen() {
+        let dir = scratch_dir("flip");
+        let (pristine, ends) = write_three(&dir);
+        let seg = segment_path(&dir, 0);
+        for offset in 0..pristine.len() {
+            let ctx = format!("byte {offset} flipped");
+            let hit = ends.iter().position(|&end| offset < end).unwrap();
+            // Live: the tier indexes the pristine file, then the byte
+            // flips underneath it.
+            fs::write(&seg, &pristine).unwrap();
+            let tier = DiskTier::open(&DiskTierOptions::at(&dir)).unwrap();
+            let flipped = [pristine[offset] ^ 0xFF];
+            let file = OpenOptions::new().write(true).open(&seg).unwrap();
+            file.write_all_at(&flipped, offset as u64).unwrap();
+            assert_serves(&tier, |i| i != hit, &ctx);
+            assert_eq!(tier.disk_stats().read_errors, 1, "{ctx}");
+            drop(tier);
+            // Reopen: recovery stops at the damaged record.
+            let tier = DiskTier::open(&DiskTierOptions::at(&dir)).unwrap();
+            assert_eq!(tier.disk_stats().recovered, hit as u64, "{ctx}");
+            assert_serves(&tier, |i| i < hit, &ctx);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_crash_at_every_write_offset_recovers_exactly_the_complete_records() {
+        let dir = scratch_dir("crash-offsets");
+        let (pristine, ends) = write_three(&dir);
+        let seg = segment_path(&dir, 0);
+        for len in 0..=pristine.len() {
+            let ctx = format!("crash at byte {len}");
+            fs::write(&seg, &pristine[..len]).unwrap();
+            let tier = DiskTier::open(&DiskTierOptions::at(&dir)).unwrap();
+            let complete = ends.iter().filter(|&&end| end <= len).count();
+            assert_eq!(tier.disk_stats().recovered, complete as u64, "{ctx}");
+            let boundary = complete.checked_sub(1).map_or(0, |i| ends[i]);
+            let kept = fs::metadata(&seg).unwrap().len();
+            assert_eq!(kept, boundary as u64, "{ctx}: torn tail truncated");
+            assert_serves(&tier, |i| i < complete, &ctx);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn format_v1_records_boot_cold() {
+        let dir = scratch_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        // A v1 record: the v2 layout with the old magic and an FNV-1a
+        // trailer.
+        let mut rec = encode_record("h/a", &entry("alpha", "v1", 5, 60));
+        let payload_len = rec.len() - TRAILER_LEN;
+        rec[..4].copy_from_slice(&0xED6E_5E61u32.to_le_bytes());
+        let sum = super::super::fnv64(&rec[..payload_len]);
+        rec[payload_len..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(segment_path(&dir, 0), &rec).unwrap();
+        let tier = DiskTier::open(&DiskTierOptions::at(&dir)).unwrap();
+        assert_eq!(tier.disk_stats().recovered, 0);
+        assert!(tier.get("h/a").is_none());
+        assert_eq!(fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -3,7 +3,7 @@
 //! * [`MemTier`] — the DRAM front: sharded, byte-budgeted, LRU-evicted
 //!   (PR 5's store, now one tier among several);
 //! * [`DiskTier`] — the persistent second tier: append-friendly
-//!   segment files with FNV-checksummed records and an in-memory
+//!   segment files with XXH64-checksummed records and an in-memory
 //!   index, rebuilt from record headers on boot;
 //! * [`TieredStore`] — the composition the cache layer talks to:
 //!   promotion on disk hit, demotion on DRAM eviction, disk writes
@@ -30,11 +30,6 @@ pub use admission::{AdmissionPolicy, FreqSketch};
 pub use disk::{DiskStats, DiskTier, DiskTierOptions};
 pub use mem::MemTier;
 pub use tiered::{TierHit, TieredCounters, TieredStore};
-
-/// The historical name of the store. Since PR 10 the store is tiered;
-/// the alias (and the deprecated [`TieredStore::new`]) keep PR 5 code
-/// compiling against the mem-only configuration.
-pub type EdgeStore = TieredStore;
 
 /// One stored object.
 #[derive(Clone)]
@@ -166,7 +161,7 @@ pub trait Tier: Send + Sync {
 }
 
 /// FNV-1a over `bytes` — the workspace's standard digest, used here
-/// for shard selection, record checksums and admission sketch hashes.
+/// for shard selection and admission sketch hashes.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {

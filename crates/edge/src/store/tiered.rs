@@ -13,7 +13,7 @@
 //!
 //! The store keeps the exact inherent API the PR 5 cache layer used
 //! (`get`/`insert`/`mark`/…), so a mem-only [`TieredStore`] behaves
-//! byte-for-byte like the old `EdgeStore`.
+//! byte-for-byte like the PR 5 single-tier store.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,7 +22,7 @@ use cachecatalyst_httpwire::{EntityTag, Response};
 use super::admission::Admission;
 use super::disk::{DiskStats, DiskTier};
 use super::mem::MemTier;
-use super::{fnv64, EntryInfo, MarkOutcome, StoreOptions, StoredEntry, Tier, TierStats};
+use super::{fnv64, EntryInfo, MarkOutcome, StoredEntry, Tier, TierStats};
 
 /// Which tier served a [`TieredStore::get_traced`] hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,8 @@ pub struct TieredCounters {
     pub admission_rejects: u64,
 }
 
-/// The tiered store. Built by [`StoreOptions::build`]; both tiers are
+/// The tiered store. Built by
+/// [`StoreOptions::build`](super::StoreOptions::build); both tiers are
 /// optional, so mem-only (PR 5 behaviour), disk-only and hybrid
 /// configurations share this one type.
 pub struct TieredStore {
@@ -64,19 +65,6 @@ fn same_version(a: &Option<EntityTag>, b: &Option<EntityTag>) -> bool {
 }
 
 impl TieredStore {
-    /// Mem-only store, byte-for-byte the PR 5 `EdgeStore`.
-    #[deprecated(
-        since = "0.10.0",
-        note = "configure the store through `StoreOptions` (or `EdgeCache::builder().store(..)`)"
-    )]
-    pub fn new(byte_budget: usize, shards: usize) -> TieredStore {
-        StoreOptions::new()
-            .mem_budget(byte_budget.max(1))
-            .shards(shards)
-            .build()
-            .expect("a mem-only store performs no I/O")
-    }
-
     pub(super) fn assemble(
         mem: Option<MemTier>,
         disk: Option<DiskTier>,
@@ -358,7 +346,7 @@ impl Tier for TieredStore {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{AdmissionPolicy, DiskTierOptions};
+    use super::super::{AdmissionPolicy, DiskTierOptions, StoreOptions};
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicU32;
@@ -486,9 +474,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_is_mem_only() {
-        let store = TieredStore::new(1 << 20, 4);
+    fn mem_only_options_build_a_mem_only_store() {
+        let store = StoreOptions::new()
+            .mem_budget(1 << 20)
+            .shards(4)
+            .build()
+            .unwrap();
         assert!(!store.has_disk());
         put(&store, "h/a", "alpha", "v1", 0, 10);
         assert_eq!(&store.get("h/a").unwrap().response.body[..], b"alpha");
