@@ -5,9 +5,9 @@ use std::sync::Arc;
 use cachecatalyst_catalyst::ServiceWorker;
 use cachecatalyst_httpcache::{CacheMetrics, HttpCache};
 use cachecatalyst_httpwire::Url;
-use cachecatalyst_netsim::{FetchOutcome, NetworkConditions};
+use cachecatalyst_netsim::{FetchOutcome, LoadTrace, NetworkConditions};
 use cachecatalyst_telemetry::span::SpanSink;
-use cachecatalyst_telemetry::{Event, FetchKind, Recorder};
+use cachecatalyst_telemetry::{CacheAudit, Event, FetchKind, Recorder};
 
 use crate::engine::{Engine, EngineConfig, LoadReport};
 use crate::upstream::Upstream;
@@ -24,7 +24,7 @@ pub struct Browser {
 }
 
 /// Maps a simulator outcome onto the telemetry vocabulary.
-pub(crate) fn fetch_kind(outcome: FetchOutcome) -> FetchKind {
+fn fetch_kind(outcome: FetchOutcome) -> FetchKind {
     match outcome {
         FetchOutcome::FullTransfer => FetchKind::FullFetch,
         FetchOutcome::NotModified => FetchKind::Conditional304,
@@ -133,13 +133,18 @@ impl Browser {
         // the `x-cc-last-visit` announcement on the next load.
         self.config.last_visit = Some(t_secs);
         if let Some(recorder) = &self.recorder {
-            emit_load_events(
-                recorder.as_ref(),
-                base_url,
+            LoadEvents {
+                page: base_url,
                 t_secs,
-                &report,
-                self.cache.metrics.delta_since(&metrics_before),
-            );
+                trace: &report.trace,
+                plt_ms: report.plt_ms(),
+                audits: &report.audits,
+                delta: Some(self.cache.metrics.delta_since(&metrics_before)),
+                faults_injected: report.faults_injected,
+                retries: report.retries,
+                degraded: report.degraded as u64,
+            }
+            .emit(recorder.as_ref());
         }
         report
     }
@@ -151,65 +156,77 @@ impl Browser {
     }
 }
 
-/// Replays one finished load into the recorder: a page-load span, one
-/// start/end pair per fetch, and the HTTP-cache delta the load caused.
-fn emit_load_events(
-    recorder: &dyn Recorder,
-    base_url: &Url,
-    t_secs: i64,
-    report: &LoadReport,
-    delta: CacheMetrics,
-) {
-    let page = base_url.to_string();
-    let base_ms = t_secs as f64 * 1000.0;
-    recorder.record(&Event::PageLoadStart {
-        page: page.clone(),
-        t_ms: base_ms,
-    });
-    for f in &report.trace.fetches {
-        recorder.record(&Event::FetchStart {
-            url: f.url.clone(),
-            t_ms: base_ms + f.started.as_millis_f64(),
+/// One finished page load of either browser, as replayed into a
+/// [`Recorder`]: a page-load span, one start/end pair per fetch, the
+/// audit trail (`audits[i]` belongs to `trace.fetches[i]`), the
+/// HTTP-cache delta and a fault summary when anything fired. Event
+/// times are `t_secs × 1000` plus offsets into the load.
+pub(crate) struct LoadEvents<'a> {
+    pub page: &'a Url,
+    pub t_secs: i64,
+    pub trace: &'a LoadTrace,
+    pub plt_ms: f64,
+    pub audits: &'a [CacheAudit],
+    pub delta: Option<CacheMetrics>,
+    pub faults_injected: u32,
+    pub retries: u32,
+    pub degraded: u64,
+}
+
+impl LoadEvents<'_> {
+    pub(crate) fn emit(&self, recorder: &dyn Recorder) {
+        let page = self.page.to_string();
+        let base_ms = self.t_secs as f64 * 1000.0;
+        let end_ms = base_ms + self.plt_ms;
+        recorder.record(&Event::PageLoadStart {
+            page: page.clone(),
+            t_ms: base_ms,
         });
-        recorder.record(&Event::FetchEnd {
-            url: f.url.clone(),
-            t_ms: base_ms + f.completed.as_millis_f64(),
-            outcome: fetch_kind(f.outcome),
-            bytes_down: f.bytes_down,
-            bytes_up: f.bytes_up,
-            rtts: f.rtts,
+        for f in &self.trace.fetches {
+            recorder.record(&Event::FetchStart {
+                url: f.url.clone(),
+                t_ms: base_ms + f.started.as_millis_f64(),
+            });
+            recorder.record(&Event::FetchEnd {
+                url: f.url.clone(),
+                t_ms: base_ms + f.completed.as_millis_f64(),
+                outcome: fetch_kind(f.outcome),
+                bytes_down: f.bytes_down,
+                bytes_up: f.bytes_up,
+                rtts: f.rtts,
+            });
+        }
+        for (f, audit) in self.trace.fetches.iter().zip(self.audits) {
+            recorder.record(&Event::CacheDecision {
+                t_ms: base_ms + f.completed.as_millis_f64(),
+                audit: audit.clone(),
+            });
+        }
+        recorder.record(&Event::PageLoadEnd {
+            page,
+            t_ms: end_ms,
+            resources: self.trace.fetches.len(),
+            plt_ms: self.plt_ms,
         });
-    }
-    // The audit trail: one cache-decision verdict per resource, in
-    // fetch order (audits[i] belongs to trace.fetches[i]).
-    for (f, audit) in report.trace.fetches.iter().zip(&report.audits) {
-        recorder.record(&Event::CacheDecision {
-            t_ms: base_ms + f.completed.as_millis_f64(),
-            audit: audit.clone(),
-        });
-    }
-    recorder.record(&Event::PageLoadEnd {
-        page,
-        t_ms: base_ms + report.plt.as_millis_f64(),
-        resources: report.trace.fetches.len(),
-        plt_ms: report.plt_ms(),
-    });
-    recorder.record(&Event::CacheDelta {
-        t_ms: base_ms + report.plt.as_millis_f64(),
-        fresh_hits: delta.fresh_hits,
-        stale_hits: delta.stale_hits,
-        misses: delta.misses,
-        stores: delta.stores,
-        evictions: delta.evictions,
-        revalidation_refreshes: delta.revalidation_refreshes,
-    });
-    if report.faults_injected > 0 || report.retries > 0 || report.degraded > 0 {
-        recorder.record(&Event::FaultSummary {
-            t_ms: base_ms + report.plt.as_millis_f64(),
-            faults_injected: report.faults_injected,
-            retries: report.retries,
-            degraded: report.degraded as u64,
-        });
+        if let Some(delta) = &self.delta {
+            recorder.record(&Event::CacheDelta {
+                t_ms: end_ms,
+                fresh_hits: delta.fresh_hits,
+                stale_hits: delta.stale_hits,
+                misses: delta.misses,
+                stores: delta.stores,
+                evictions: delta.evictions,
+                revalidation_refreshes: delta.revalidation_refreshes,
+            });
+        }
+        if self.faults_injected > 0 || self.retries > 0 || self.degraded > 0 {
+            recorder.record(&Event::FaultSummary {
+                t_ms: end_ms,
+                faults_injected: self.faults_injected,
+                retries: self.retries,
+                degraded: self.degraded,
+            });
+        }
     }
 }
 

@@ -12,10 +12,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cachecatalyst_catalyst::{
-    tamper_config_headers, ConfigIntegrity, EtagConfig, ServiceWorker, SwDecision,
-};
-use cachecatalyst_httpcache::{HttpCache, Lookup};
+use cachecatalyst_catalyst::{tamper_config_headers, ServiceWorker};
+use cachecatalyst_httpcache::HttpCache;
 use cachecatalyst_httpwire::codec::encode_request;
 use cachecatalyst_httpwire::{tracectx, HeaderName, Request, Response, StatusCode, Url};
 use cachecatalyst_netsim::{
@@ -24,9 +22,9 @@ use cachecatalyst_netsim::{
 };
 use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext, TraceId};
 use cachecatalyst_telemetry::{CacheAudit, CacheDecision};
-use cachecatalyst_webmodel::extract::{extract_css_links, extract_html_links};
 use cachecatalyst_webmodel::ResourceKind;
 
+use crate::planner::{Decision, FetchPlanner, LiveMode, Validator};
 use crate::upstream::Upstream;
 
 /// Extension headers used by the proxy comparators (`cachecatalyst-
@@ -224,8 +222,8 @@ enum Pending {
     DownloadDone(FetchId),
     LastByte(FetchId),
     Instant(FetchId),
-    Parse(FetchId),
-    Exec(FetchId),
+    /// Parsing (HTML/CSS) or executing (JS) the delivered body ended.
+    Processed(FetchId),
     PushDone(FetchId),
     /// The backoff before a retry attempt elapsed.
     Retry(FetchId),
@@ -323,6 +321,19 @@ impl FetchState {
     }
 }
 
+/// A `GET` for `url` carrying its `Host`.
+fn get(url: &Url) -> Request {
+    Request::get(&url.target().to_string()).with_header(HeaderName::HOST, &url.authority())
+}
+
+/// The URLs a comma-separated push/bundle announcement lists.
+fn announced<'l>(base: &'l Url, list: &'l str) -> impl Iterator<Item = Url> + 'l {
+    list.split(',')
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .filter_map(|p| base.join(p).ok())
+}
+
 /// FNV-1a 64 over a body — the page-visible-bytes digest recorded on
 /// the audit trail.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -332,6 +343,17 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// One xorshift64 step of a seeded stream (deterministic, decoupled
+/// from workload seeds), as a uniform draw in `[0, 1)`.
+fn xorshift_unit(state: &mut u64) -> f64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 struct ConnState {
@@ -378,8 +400,8 @@ pub struct Engine<'a> {
     up: &'a dyn Upstream,
     cond: NetworkConditions,
     cfg: &'a EngineConfig,
-    cache: &'a mut HttpCache,
-    sw: &'a mut ServiceWorker,
+    /// Serving decisions against the browser's cache and SW.
+    planner: FetchPlanner<'a>,
     t_secs: i64,
     net: Network,
     uplink: LinkId,
@@ -429,6 +451,14 @@ impl<'a> Engine<'a> {
         let mut net = Network::new();
         let downlink = net.add_link(cond.down_bps);
         let uplink = net.add_link(cond.up_bps);
+        // The service worker fronts the HTTP cache when both are on.
+        let mode = if cfg.use_service_worker {
+            LiveMode::Catalyst
+        } else if cfg.use_http_cache {
+            LiveMode::Baseline
+        } else {
+            LiveMode::Uncached
+        };
         Engine {
             loss_state: cfg.loss_seed | 1,
             faults: cfg.fault_plan.as_ref().map(|p| p.schedule()),
@@ -442,8 +472,7 @@ impl<'a> Engine<'a> {
             up,
             cond,
             cfg,
-            cache,
-            sw,
+            planner: FetchPlanner::new(cache, sw, mode, t_secs, cfg.enable_swr),
             t_secs,
             net,
             uplink,
@@ -675,8 +704,7 @@ impl<'a> Engine<'a> {
                 let resp = self.fetches[f].response.take().expect("local response");
                 self.complete(f, resp, now);
             }
-            Pending::Parse(f) => self.on_parse(f, now),
-            Pending::Exec(f) => self.on_exec(f, now),
+            Pending::Processed(f) => self.on_processed(f, now),
             Pending::PushDone(f) => {
                 self.fetches[f].completed = Some(now);
                 let resp = self.fetches[f].response.take().expect("pushed body");
@@ -754,12 +782,7 @@ impl<'a> Engine<'a> {
         self.fetches[f].degraded = true;
         self.n_retries += 1;
         let base = self.cfg.retry_base.as_secs_f64() * (1u64 << attempt.min(16)) as f64;
-        let mut x = self.jitter_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.jitter_state = x;
-        let jitter = (x >> 11) as f64 / (1u64 << 53) as f64;
+        let jitter = xorshift_unit(&mut self.jitter_state);
         let backoff = Duration::from_secs_f64(base * (1.0 + 0.5 * jitter));
         let tok = self.token(Pending::Retry(f));
         self.net.set_timer(backoff, tok);
@@ -783,10 +806,7 @@ impl<'a> Engine<'a> {
         // A waiter can take the slot, paying the fresh handshake.
         if let Some(next) = pool.pop_waiter() {
             pool.conns[idx].busy = true;
-            self.fetches[next].conn = Some(idx);
-            let tok = self.token(Pending::HandshakeDone(next));
-            let dt = self.handshake_time(next);
-            self.net.set_timer(dt, tok);
+            self.open_conn(next, idx);
         }
     }
 
@@ -798,15 +818,13 @@ impl<'a> Engine<'a> {
 
     // ---- fetch initiation ----
 
-    fn request_fetch(&mut self, url: Url, now: SimTime, is_navigation: bool) {
-        let key = url.to_string();
-        if !self.requested.insert(key) {
-            return;
+    /// Starts fetching `url` unless this load already requested it;
+    /// returns whether a fetch was created.
+    fn request_fetch(&mut self, url: Url, now: SimTime, is_navigation: bool) -> bool {
+        if !self.requested.insert(url.to_string()) {
+            return false;
         }
-        let path = url.path().to_owned();
-        let mut req = Request::get(&url.target().to_string())
-            .with_header(HeaderName::HOST, &url.authority())
-            .with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1");
+        let mut req = get(&url).with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1");
         if let Some(session) = &self.cfg.session {
             req.headers
                 .insert("cookie", &format!("cc-session={session}"));
@@ -820,17 +838,52 @@ impl<'a> Engine<'a> {
             req.headers.insert("referer", nav);
         }
 
-        let f = self.fetches.len();
-        self.fetches.push(FetchState {
+        let f = self.new_fetch(FetchState {
             is_navigation,
-            ..FetchState::new(url.clone(), req, now)
+            ..FetchState::new(url, req, now)
         });
         if is_navigation {
             self.render_blocking.push(f);
         }
-        // Traced loads: give the fetch its span id and put the trace
-        // context on the outgoing request (re-stamped with the virtual
-        // clock at the server turn).
+        let fetch = &mut self.fetches[f];
+        let (decision, consulted) = self
+            .planner
+            .decide(&fetch.url, &mut fetch.req, is_navigation);
+        fetch.audit_etag = consulted;
+        match decision {
+            Decision::Local {
+                response,
+                outcome,
+                stale,
+            } => {
+                self.fetches[f].audit_stale = stale;
+                self.serve_local(f, response, outcome);
+            }
+            Decision::ServeStale {
+                response,
+                revalidate,
+            } => {
+                self.serve_local(f, response, FetchOutcome::CacheHit);
+                self.spawn_background_revalidation(f, revalidate, now);
+            }
+            // Pushed / bundled bodies that arrived ahead of the request
+            // are used before going to the network (but never shadow a
+            // fresh cache or SW hit, matching browsers' push-cache
+            // precedence).
+            Decision::Network => {
+                if !self.try_predelivered(f) {
+                    self.assign_to_pool(f, now);
+                }
+            }
+        }
+        true
+    }
+
+    /// Adds a fetch to the load; traced loads give it a span id and put
+    /// the trace context on its request (re-stamped at the server turn).
+    fn new_fetch(&mut self, fetch: FetchState) -> FetchId {
+        let f = self.fetches.len();
+        self.fetches.push(fetch);
         if let Some(tracer) = &self.tracer {
             let span = SpanId::next();
             self.fetches[f].span = Some(span);
@@ -839,156 +892,39 @@ impl<'a> Engine<'a> {
                 &TraceContext::new(tracer.trace, span),
             );
         }
+        f
+    }
 
-        // --- the serving decision ---
-        if self.cfg.use_service_worker {
-            if is_navigation {
-                // Navigations always go upstream; attach the SW's
-                // stored validator so an unchanged page costs a 304.
-                if let Some(tag) = self.sw.cached_etag(&url.to_string()) {
-                    let tag = tag.to_string();
-                    self.fetches[f].audit_etag = Some(tag.clone());
-                    self.fetches[f]
-                        .req
-                        .headers
-                        .insert(HeaderName::IF_NONE_MATCH, &tag);
-                }
-            } else {
-                let url_str = url.to_string();
-                // The `X-Etag-Config` entry consulted for this
-                // resource (same-origin keyed by path, cross-origin by
-                // full URL) — recorded on the audit trail.
-                let consulted = self
-                    .sw
-                    .config()
-                    .get(&path)
-                    .or_else(|| self.sw.config().get(&url_str))
-                    .cloned();
-                self.fetches[f].audit_etag = consulted.as_ref().map(|t| t.to_string());
-                match self.sw.intercept(&url_str, &path) {
-                    SwDecision::ServeLocal(resp) => {
-                        // Staleness oracle: the served bytes are the
-                        // cached entry; the consulted entry is the
-                        // origin's *current* version (the map was
-                        // installed by this very navigation). A serve
-                        // despite mismatch would be a catalyst bug.
-                        let served = self.sw.cached_etag(&url_str);
-                        self.fetches[f].audit_stale = match (served, &consulted) {
-                            (Some(s), Some(c)) => Some(!(s.strong_eq(c) || s.weak_eq(c))),
-                            _ => None,
-                        };
-                        self.fetches[f].outcome = FetchOutcome::ServiceWorkerHit;
-                        self.fetches[f].response = Some(resp);
-                        let tok = self.token(Pending::Instant(f));
-                        self.net.set_timer(self.cfg.sw_overhead, tok);
-                        return;
-                    }
-                    SwDecision::Forward { if_none_match } => {
-                        if let Some(tag) = if_none_match {
-                            let tag = tag.to_string();
-                            if self.fetches[f].audit_etag.is_none() {
-                                self.fetches[f].audit_etag = Some(tag.clone());
-                            }
-                            self.fetches[f]
-                                .req
-                                .headers
-                                .insert(HeaderName::IF_NONE_MATCH, &tag);
-                        }
-                    }
-                }
-            }
-        } else if self.cfg.use_http_cache {
-            let lookup = {
-                let req = &self.fetches[f].req;
-                self.cache.lookup_for(&url.to_string(), req, self.t_secs)
-            };
-            match lookup {
-                Lookup::Fresh(resp) => {
-                    self.fetches[f].outcome = FetchOutcome::CacheHit;
-                    self.fetches[f].response = Some(resp);
-                    let tok = self.token(Pending::Instant(f));
-                    self.net.set_timer(self.cfg.cache_overhead, tok);
-                    return;
-                }
-                Lookup::Stale {
-                    response,
-                    etag,
-                    last_modified,
-                    swr_usable,
-                } => {
-                    if swr_usable && self.cfg.enable_swr {
-                        // RFC 5861: serve the stale copy now, refresh
-                        // in the background.
-                        self.fetches[f].outcome = FetchOutcome::CacheHit;
-                        self.fetches[f].response = Some(response);
-                        let tok = self.token(Pending::Instant(f));
-                        self.net.set_timer(self.cfg.cache_overhead, tok);
-                        self.spawn_background_revalidation(
-                            url.clone(),
-                            etag,
-                            last_modified,
-                            now,
-                            f,
-                        );
-                        return;
-                    }
-                    if let Some(tag) = etag {
-                        self.fetches[f].audit_etag = Some(tag.clone());
-                        self.fetches[f]
-                            .req
-                            .headers
-                            .insert(HeaderName::IF_NONE_MATCH, &tag);
-                    } else if let Some(lm) = last_modified {
-                        self.fetches[f]
-                            .req
-                            .headers
-                            .insert(HeaderName::IF_MODIFIED_SINCE, &lm);
-                    }
-                }
-                Lookup::Miss => {}
-            }
-        }
-        // Pushed / bundled bodies that arrived ahead of the request are
-        // used before going to the network (but never shadow a fresh
-        // cache or SW hit, matching browsers' push-cache precedence).
-        if self.try_predelivered(f) {
-            return;
-        }
-        self.assign_to_pool(f, now);
+    /// Answers `f` locally after the serving overhead of `outcome`.
+    fn serve_local(&mut self, f: FetchId, response: Response, outcome: FetchOutcome) {
+        self.fetches[f].outcome = outcome;
+        self.fetches[f].response = Some(response);
+        let overhead = match outcome {
+            FetchOutcome::ServiceWorkerHit => self.cfg.sw_overhead,
+            _ => self.cfg.cache_overhead,
+        };
+        let tok = self.token(Pending::Instant(f));
+        self.net.set_timer(overhead, tok);
     }
 
     /// Issues a conditional request that refreshes the cache without
     /// gating onLoad (the revalidation half of stale-while-revalidate).
     fn spawn_background_revalidation(
         &mut self,
-        url: Url,
-        etag: Option<String>,
-        last_modified: Option<String>,
-        now: SimTime,
         served: FetchId,
+        revalidate: Option<Validator>,
+        now: SimTime,
     ) {
-        let mut req = Request::get(&url.target().to_string())
-            .with_header(HeaderName::HOST, &url.authority())
-            .with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1");
-        if let Some(tag) = etag {
-            req.headers.insert(HeaderName::IF_NONE_MATCH, &tag);
-        } else if let Some(lm) = last_modified {
-            req.headers.insert(HeaderName::IF_MODIFIED_SINCE, &lm);
+        let url = self.fetches[served].url.clone();
+        let mut req = get(&url).with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1");
+        if let Some(validator) = &revalidate {
+            validator.apply(&mut req);
         }
-        let f = self.fetches.len();
-        self.fetches.push(FetchState {
+        let f = self.new_fetch(FetchState {
             outcome: FetchOutcome::NotModified,
             is_background: true,
             ..FetchState::new(url, req, now)
         });
-        if let Some(tracer) = &self.tracer {
-            let span = SpanId::next();
-            self.fetches[f].span = Some(span);
-            tracectx::inject(
-                &mut self.fetches[f].req,
-                &TraceContext::new(tracer.trace, span),
-            );
-        }
         // The revalidation outcome doubles as the staleness oracle for
         // the SWR-served response it refreshes (see `finalize`).
         self.swr_pairs.push((f, served));
@@ -1003,10 +939,7 @@ impl<'a> Engine<'a> {
             if let Some(&pf) = self.push_rows.get(&key) {
                 self.fetches[pf].push_used = true;
             }
-            self.fetches[f].outcome = FetchOutcome::Pushed;
-            self.fetches[f].response = Some(resp);
-            let tok = self.token(Pending::Instant(f));
-            self.net.set_timer(self.cfg.cache_overhead, tok);
+            self.serve_local(f, resp, FetchOutcome::Pushed);
             return true;
         }
         if let Some(entry) = self.push_inflight.get_mut(&key) {
@@ -1055,10 +988,7 @@ impl<'a> Engine<'a> {
                         established: false,
                         busy: true,
                     });
-                    self.fetches[f].conn = Some(0);
-                    let tok = self.token(Pending::HandshakeDone(f));
-                    let dt = self.handshake_time(f);
-                    self.net.set_timer(dt, tok);
+                    self.open_conn(f, 0);
                 }
                 Some(c) if !c.established => pool.queue.push_back(f),
                 Some(_) => {
@@ -1080,10 +1010,7 @@ impl<'a> Engine<'a> {
         // fresh handshake, so faults never leak pool capacity.
         if let Some(idx) = pool.conns.iter().position(|c| !c.busy && !c.established) {
             pool.conns[idx].busy = true;
-            self.fetches[f].conn = Some(idx);
-            let tok = self.token(Pending::HandshakeDone(f));
-            let dt = self.handshake_time(f);
-            self.net.set_timer(dt, tok);
+            self.open_conn(f, idx);
             return;
         }
         if pool.conns.len() < max {
@@ -1092,10 +1019,7 @@ impl<'a> Engine<'a> {
                 busy: true,
             });
             let idx = pool.conns.len() - 1;
-            self.fetches[f].conn = Some(idx);
-            let tok = self.token(Pending::HandshakeDone(f));
-            let dt = self.handshake_time(f);
-            self.net.set_timer(dt, tok);
+            self.open_conn(f, idx);
             return;
         }
         let high = !self.cfg.prioritize_render_blocking
@@ -1112,9 +1036,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// TCP (+ optional TLS 1.3) connection establishment time, charged
-    /// to the fetch opening the connection.
-    fn handshake_time(&mut self, f: FetchId) -> Duration {
+    /// Opens pool slot `idx` for `f`: a TCP (+ optional TLS 1.3)
+    /// handshake whose round trips are charged to `f`.
+    fn open_conn(&mut self, f: FetchId, idx: usize) {
+        self.fetches[f].conn = Some(idx);
+        let tok = self.token(Pending::HandshakeDone(f));
         let mut dt = self.cond.rtt;
         let mut rtts = 1u32;
         if self.cfg.tls {
@@ -1126,7 +1052,7 @@ impl<'a> Engine<'a> {
             rtts += 2;
         }
         self.fetches[f].rtts += rtts;
-        dt + loss
+        self.net.set_timer(dt + loss, tok);
     }
 
     /// Draws from the seeded loss stream: with probability
@@ -1135,14 +1061,7 @@ impl<'a> Engine<'a> {
         if self.cfg.loss_rate <= 0.0 {
             return Duration::ZERO;
         }
-        // xorshift64*: deterministic, decoupled from workload seeds.
-        let mut x = self.loss_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.loss_state = x;
-        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
-        if u < self.cfg.loss_rate {
+        if xorshift_unit(&mut self.loss_state) < self.cfg.loss_rate {
             self.cond.rtt * 2
         } else {
             Duration::ZERO
@@ -1190,76 +1109,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn deliver_network(&mut self, f: FetchId, mut resp: Response, now: SimTime) {
+    fn deliver_network(&mut self, f: FetchId, resp: Response, now: SimTime) {
         self.note_epoch(f, &resp);
-        // Integrity gate for the catalyst map: a navigation response
-        // whose `X-Etag-Config` fails its digest is stripped of the
-        // map *before* the service worker sees it — the SW then clears
-        // its config and every subresource falls back to a
-        // conditional/full fetch (graceful degradation, never a serve
-        // from tampered state).
-        if self.fetches[f].is_navigation
-            && self.cfg.use_service_worker
-            && matches!(
-                EtagConfig::verify_headers(&resp.headers),
-                ConfigIntegrity::Tampered
-            )
-        {
-            resp.headers.remove(HeaderName::X_ETAG_CONFIG);
-            resp.headers.remove(HeaderName::X_CC_CONFIG_DIGEST);
-            self.fetches[f].degraded = true;
-        }
-        let url = self.fetches[f].url.to_string();
-        if self.fetches[f].is_background {
-            self.fetches[f].completed = Some(now);
-            self.fetches[f].outcome = if resp.status == StatusCode::NOT_MODIFIED {
-                FetchOutcome::NotModified
-            } else {
-                FetchOutcome::FullTransfer
-            };
-            if resp.status == StatusCode::NOT_MODIFIED {
-                let _ = self
-                    .cache
-                    .update_with_304(&url, &resp, self.t_secs, self.t_secs);
-            } else {
-                self.cache
-                    .store(&url, &self.fetches[f].req, &resp, self.t_secs, self.t_secs);
-            }
-            return;
-        }
-        let is_nav = self.fetches[f].is_navigation;
-        let delivered;
-        if self.cfg.use_service_worker {
-            if is_nav {
-                // The navigation response (200 or 304) carries the
-                // fresh X-Etag-Config; install it, then resolve the
-                // body through the SW cache.
-                self.sw.on_navigation(&resp);
-            }
-            self.fetches[f].outcome = if resp.status == StatusCode::NOT_MODIFIED {
-                FetchOutcome::NotModified
-            } else {
-                FetchOutcome::FullTransfer
-            };
-            delivered = self.sw.on_response(&url, &resp);
-        } else if self.cfg.use_http_cache {
-            if resp.status == StatusCode::NOT_MODIFIED {
-                self.fetches[f].outcome = FetchOutcome::NotModified;
-                delivered = self
-                    .cache
-                    .update_with_304(&url, &resp, self.t_secs, self.t_secs)
-                    .unwrap_or(resp);
-            } else {
-                self.fetches[f].outcome = FetchOutcome::FullTransfer;
-                self.cache
-                    .store(&url, &self.fetches[f].req, &resp, self.t_secs, self.t_secs);
-                delivered = resp;
-            }
+        let fetch = &mut self.fetches[f];
+        let absorbed = self
+            .planner
+            .absorb(&fetch.url, &fetch.req, resp, fetch.is_navigation);
+        fetch.outcome = absorbed.outcome;
+        fetch.degraded |= absorbed.degraded;
+        if fetch.is_background {
+            // A background revalidation only refreshes the cache.
+            fetch.completed = Some(now);
         } else {
-            self.fetches[f].outcome = FetchOutcome::FullTransfer;
-            delivered = resp;
+            self.complete(f, absorbed.response, now);
         }
-        self.complete(f, delivered, now);
     }
 
     /// A response is now available to the page: record it and schedule
@@ -1273,19 +1136,10 @@ impl<'a> Engine<'a> {
         }
         // Pushed/bundled responses enter the regular caches, exactly
         // as browsers admit pushed streams into the HTTP cache.
-        if self.fetches[f].outcome == FetchOutcome::Pushed {
-            let url = self.fetches[f].url.to_string();
-            if self.cfg.use_service_worker {
-                let _ = self.sw.on_response(&url, &delivered);
-            } else if self.cfg.use_http_cache {
-                self.cache.store(
-                    &url,
-                    &self.fetches[f].req,
-                    &delivered,
-                    self.t_secs,
-                    self.t_secs,
-                );
-            }
+        let fetch = &self.fetches[f];
+        if fetch.outcome == FetchOutcome::Pushed {
+            self.planner
+                .absorb_pushed(&fetch.url, &fetch.req, &delivered);
         }
         if !delivered.status.is_success() {
             self.fetches[f].delivered = Some(delivered);
@@ -1293,20 +1147,17 @@ impl<'a> Engine<'a> {
         }
         let kind = ResourceKind::from_path(self.fetches[f].url.path());
         let len = delivered.body.len() as f64;
-        match kind {
+        let pacing = match kind {
             ResourceKind::Html | ResourceKind::Css => {
-                let dt = self.cfg.parse_base
-                    + Duration::from_secs_f64(len / self.cfg.parse_bytes_per_sec);
-                let tok = self.token(Pending::Parse(f));
-                self.net.set_timer(dt, tok);
+                Some((self.cfg.parse_base, self.cfg.parse_bytes_per_sec))
             }
-            ResourceKind::Js => {
-                let dt =
-                    self.cfg.exec_base + Duration::from_secs_f64(len / self.cfg.exec_bytes_per_sec);
-                let tok = self.token(Pending::Exec(f));
-                self.net.set_timer(dt, tok);
-            }
-            _ => {}
+            ResourceKind::Js => Some((self.cfg.exec_base, self.cfg.exec_bytes_per_sec)),
+            _ => None,
+        };
+        if let Some((fixed, bytes_per_sec)) = pacing {
+            let tok = self.token(Pending::Processed(f));
+            let dt = fixed + Duration::from_secs_f64(len / bytes_per_sec);
+            self.net.set_timer(dt, tok);
         }
         let is_nav = self.fetches[f].is_navigation;
         self.fetches[f].delivered = Some(delivered);
@@ -1318,7 +1169,9 @@ impl<'a> Engine<'a> {
     /// Materializes server-push and RDR-bundle announcements carried
     /// on the navigation response.
     fn handle_predelivery(&mut self, f: FetchId, now: SimTime) {
-        let delivered = self.fetches[f].delivered.clone().expect("just set");
+        let delivered = self.fetches[f].delivered.as_ref().expect("just set");
+        let bundle = delivered.headers.get_combined(ext::X_RDR_BUNDLE);
+        let pushed = delivered.headers.get_combined(ext::X_PUSHED);
         let base = self.fetches[f].url.clone();
         // Internal materialization requests carry the trace context
         // too, parented under the navigation's span (bundles) or the
@@ -1330,14 +1183,9 @@ impl<'a> Engine<'a> {
         });
         // RDR bundle: bodies already arrived inside the bundle body;
         // make them instantly available.
-        if let Some(list) = delivered.headers.get_combined(ext::X_RDR_BUNDLE) {
-            for path in list.split(',').filter(|p| !p.trim().is_empty()) {
-                let Ok(url) = base.join(path.trim()) else {
-                    continue;
-                };
-                let mut req = Request::get(&url.target().to_string())
-                    .with_header(HeaderName::HOST, &url.authority())
-                    .with_header(ext::X_INTERNAL, "bundle");
+        if let Some(list) = bundle {
+            for url in announced(&base, &list) {
+                let mut req = get(&url).with_header(ext::X_INTERNAL, "bundle");
                 if let Some(ctx) = &nav_ctx {
                     tracectx::inject(&mut req, ctx);
                 }
@@ -1349,19 +1197,14 @@ impl<'a> Engine<'a> {
         }
         // Server push: bodies stream down after the navigation
         // response, sharing the downlink with everything else.
-        if let Some(list) = delivered.headers.get_combined(ext::X_PUSHED) {
-            for path in list.split(',').filter(|p| !p.trim().is_empty()) {
-                let Ok(url) = base.join(path.trim()) else {
-                    continue;
-                };
+        if let Some(list) = pushed {
+            for url in announced(&base, &list) {
                 let key = url.to_string();
                 if self.requested.contains(&key) || self.predelivered.contains_key(&key) {
                     continue;
                 }
                 let push_span = self.tracer.as_ref().map(|_| SpanId::next());
-                let mut req = Request::get(&url.target().to_string())
-                    .with_header(HeaderName::HOST, &url.authority())
-                    .with_header(ext::X_INTERNAL, "push");
+                let mut req = get(&url).with_header(ext::X_INTERNAL, "push");
                 if let (Some(tracer), Some(span)) = (&self.tracer, push_span) {
                     tracectx::inject(
                         &mut req,
@@ -1390,61 +1233,26 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn on_parse(&mut self, f: FetchId, now: SimTime) {
-        let Some(delivered) = self.fetches[f].delivered.clone() else {
+    /// The page parsed or executed `f`'s body: fetch what it references.
+    fn on_processed(&mut self, f: FetchId, now: SimTime) {
+        let fetch = &self.fetches[f];
+        let Some(delivered) = &fetch.delivered else {
             return;
         };
-        let Ok(text) = std::str::from_utf8(&delivered.body) else {
-            return;
-        };
-        let kind = ResourceKind::from_path(self.fetches[f].url.path());
-        let links: Vec<String> = match kind {
-            ResourceKind::Html => extract_html_links(text)
-                .into_iter()
-                .map(|l| l.href)
-                .collect(),
-            _ => extract_css_links(text)
-                .into_iter()
-                .map(|l| l.href)
-                .collect(),
-        };
-        let base = self.fetches[f].url.clone();
-        let from_navigation = self.fetches[f].is_navigation;
-        for href in links {
-            if href == cachecatalyst_catalyst::SW_SCRIPT_PATH {
-                continue; // SW registration is out-of-band, not a subresource
-            }
-            if let Ok(url) = base.join(&href) {
-                let next_id = self.fetches.len();
-                let before = self.requested.len();
-                self.request_fetch(url.clone(), now, false);
-                let created = self.requested.len() > before;
-                // Stylesheets and scripts referenced by the base
-                // document's markup block first paint.
-                if created
-                    && from_navigation
-                    && matches!(
-                        ResourceKind::from_path(url.path()),
-                        ResourceKind::Css | ResourceKind::Js
-                    )
-                {
-                    self.render_blocking.push(next_id);
-                }
-            }
-        }
-    }
-
-    fn on_exec(&mut self, f: FetchId, now: SimTime) {
-        let Some(delivered) = self.fetches[f].delivered.clone() else {
-            return;
-        };
-        let Ok(text) = std::str::from_utf8(&delivered.body) else {
-            return;
-        };
-        let base = self.fetches[f].url.clone();
-        for href in cachecatalyst_webmodel::jsdialect::evaluate(text) {
-            if let Ok(url) = base.join(&href) {
-                self.request_fetch(url, now, false);
+        let kind = ResourceKind::from_path(fetch.url.path());
+        let links = FetchPlanner::discover(&fetch.url, kind, &delivered.body);
+        // Stylesheets and scripts referenced by the base document's
+        // markup block first paint.
+        let from_markup = fetch.is_navigation && kind != ResourceKind::Js;
+        for url in links {
+            let blocks_paint = from_markup
+                && matches!(
+                    ResourceKind::from_path(url.path()),
+                    ResourceKind::Css | ResourceKind::Js
+                );
+            let next_id = self.fetches.len();
+            if self.request_fetch(url, now, false) && blocks_paint {
+                self.render_blocking.push(next_id);
             }
         }
     }

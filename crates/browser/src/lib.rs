@@ -22,6 +22,7 @@ pub mod browser;
 pub mod engine;
 pub mod har;
 pub mod options;
+pub mod planner;
 pub mod upstream;
 
 #[cfg(feature = "aio")]
@@ -31,6 +32,7 @@ pub use browser::Browser;
 pub use engine::{Engine, EngineConfig, LoadReport};
 pub use har::to_har;
 #[cfg(feature = "aio")]
-pub use live::{LiveBrowser, LiveMode, LiveReport};
+pub use live::{LiveBrowser, LiveReport};
 pub use options::ClientOptions;
+pub use planner::{FetchPlanner, LiveMode};
 pub use upstream::{FrozenUpstream, MultiOrigin, SingleOrigin, Upstream};

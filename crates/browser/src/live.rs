@@ -9,23 +9,26 @@
 //! sim-vs-live cross-validation experiment (E15): the simulator's PLT
 //! prediction is checked against an actual protocol execution.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cachecatalyst_catalyst::{ServiceWorker, SwDecision};
-use cachecatalyst_httpcache::{HttpCache, Lookup};
+use cachecatalyst_catalyst::ServiceWorker;
+use cachecatalyst_httpcache::HttpCache;
 use cachecatalyst_httpwire::aio::ClientConn;
-use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode, Url};
+use cachecatalyst_httpwire::{HeaderName, Request, Url};
 use cachecatalyst_netsim::{FetchOutcome, FetchTrace, LoadTrace, SimTime};
-use cachecatalyst_telemetry::{Event, Recorder};
-use cachecatalyst_webmodel::extract::{extract_css_links, extract_html_links};
-use cachecatalyst_webmodel::{jsdialect, ResourceKind};
+use cachecatalyst_telemetry::Recorder;
+use cachecatalyst_webmodel::ResourceKind;
 use tokio::io::{AsyncRead, AsyncWrite};
 use tokio::sync::{Mutex, Semaphore};
 use tokio::task::JoinSet;
+
+use crate::browser::LoadEvents;
+pub use crate::planner::LiveMode;
+use crate::planner::{Decision, FetchPlanner};
 
 /// Anything a connection can run over.
 pub trait ByteStream: AsyncRead + AsyncWrite + Unpin + Send {}
@@ -39,17 +42,6 @@ pub type Dialer = Arc<
         + Sync,
 >;
 
-/// Serving mode of the live browser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiveMode {
-    /// Classic HTTP cache.
-    Baseline,
-    /// CacheCatalyst service worker.
-    Catalyst,
-    /// No reuse.
-    Uncached,
-}
-
 /// The result of one live page load.
 #[derive(Debug, Clone)]
 pub struct LiveReport {
@@ -62,8 +54,18 @@ pub struct LiveReport {
     pub retries: u32,
 }
 
-struct PoolState {
-    idle: Vec<ClientConn<Box<dyn ByteStream>>>,
+/// The state the [`FetchPlanner`] decides against. Fetch tasks lock it
+/// only around the planner's synchronous steps, never across an
+/// `.await`. Live loads never serve stale-while-revalidate.
+struct Caches {
+    cache: HttpCache,
+    sw: ServiceWorker,
+}
+
+impl Caches {
+    fn planner(&mut self, mode: LiveMode, now_secs: i64) -> FetchPlanner<'_> {
+        FetchPlanner::new(&mut self.cache, &mut self.sw, mode, now_secs, false)
+    }
 }
 
 /// A live browser profile. State persists across loads, like
@@ -71,8 +73,7 @@ struct PoolState {
 pub struct LiveBrowser {
     dialer: Dialer,
     mode: LiveMode,
-    cache: Arc<Mutex<HttpCache>>,
-    sw: Arc<Mutex<ServiceWorker>>,
+    caches: Arc<std::sync::Mutex<Caches>>,
     pools: Arc<Mutex<HashMap<String, Arc<HostPool>>>>,
     recorder: Option<Arc<dyn Recorder>>,
     /// Virtual seconds used for cache freshness decisions.
@@ -91,7 +92,7 @@ pub struct LiveBrowser {
 
 struct HostPool {
     permits: Semaphore,
-    state: Mutex<PoolState>,
+    idle: Mutex<Vec<ClientConn<Box<dyn ByteStream>>>>,
 }
 
 impl LiveBrowser {
@@ -99,8 +100,10 @@ impl LiveBrowser {
         LiveBrowser {
             dialer,
             mode,
-            cache: Arc::new(Mutex::new(HttpCache::unbounded())),
-            sw: Arc::new(Mutex::new(ServiceWorker::new())),
+            caches: Arc::new(std::sync::Mutex::new(Caches {
+                cache: HttpCache::unbounded(),
+                sw: ServiceWorker::new(),
+            })),
             pools: Arc::new(Mutex::new(HashMap::new())),
             recorder: None,
             now_secs: 0,
@@ -155,40 +158,17 @@ impl LiveBrowser {
     pub async fn load(&mut self, base_url: &Url) -> std::io::Result<LiveReport> {
         let t0 = Instant::now();
         let mut trace = LoadTrace::default();
-        let mut requested: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let mut requested = HashSet::new();
         let mut join: JoinSet<std::io::Result<FetchDone>> = JoinSet::new();
 
         requested.insert(base_url.to_string());
         join.spawn(self.fetch_task(base_url.clone(), true, t0));
 
-        let mut network_requests = 0;
-        let mut sw_hits = 0;
-        let mut cache_hits = 0;
         let mut retries = 0;
         while let Some(res) = join.join_next().await {
             let done = res.map_err(|e| std::io::Error::other(e.to_string()))??;
             retries += done.retries;
-            match done.outcome {
-                FetchOutcome::ServiceWorkerHit => sw_hits += 1,
-                FetchOutcome::CacheHit => cache_hits += 1,
-                _ => network_requests += 1,
-            }
-            trace.fetches.push(FetchTrace {
-                url: done.url.to_string(),
-                discovered: SimTime::from_nanos(done.discovered.as_nanos() as u64),
-                started: SimTime::from_nanos(done.discovered.as_nanos() as u64),
-                completed: SimTime::from_nanos(done.completed.as_nanos() as u64),
-                outcome: done.outcome,
-                bytes_down: done.bytes_down,
-                bytes_up: done.bytes_up,
-                // Live fetches reuse pooled keep-alive connections:
-                // one request/response round trip per network fetch.
-                rtts: done.outcome.used_network() as u32,
-                // The live path doesn't observe intra-request phase
-                // boundaries; HAR export degrades gracefully.
-                upload_done: None,
-                response_start: None,
-            });
+            trace.fetches.push(done.fetch);
             for link in done.links {
                 if requested.insert(link.to_string()) {
                     join.spawn(self.fetch_task(link, false, t0));
@@ -196,66 +176,36 @@ impl LiveBrowser {
             }
         }
 
-        let plt = trace
-            .fetches
-            .iter()
-            .map(|f| f.completed)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+        let plt = trace.fetches.iter().map(|f| f.completed).max();
+        let count = |o| trace.fetches.iter().filter(|f| f.outcome == o).count();
+        let (sw_hits, cache_hits) = (
+            count(FetchOutcome::ServiceWorkerHit),
+            count(FetchOutcome::CacheHit),
+        );
         let report = LiveReport {
-            plt: Duration::from_nanos(plt.as_nanos()),
+            plt: Duration::from_nanos(plt.unwrap_or(SimTime::ZERO).as_nanos()),
+            network_requests: trace.fetches.len() - sw_hits - cache_hits,
             trace,
-            network_requests,
             sw_hits,
             cache_hits,
             retries,
         };
         if let Some(recorder) = &self.recorder {
-            self.emit_load_events(recorder.as_ref(), base_url, &report);
-        }
-        Ok(report)
-    }
-
-    /// Replays one finished live load into the recorder: the same
-    /// event stream the discrete-event browser emits, minus the
-    /// cache-delta and audit records (the live path does not observe
-    /// them). The time base is `now_secs × 1000` plus wall-clock
-    /// offsets into the load.
-    fn emit_load_events(&self, recorder: &dyn Recorder, base_url: &Url, report: &LiveReport) {
-        let page = base_url.to_string();
-        let base_ms = self.now_secs as f64 * 1000.0;
-        recorder.record(&Event::PageLoadStart {
-            page: page.clone(),
-            t_ms: base_ms,
-        });
-        for f in &report.trace.fetches {
-            recorder.record(&Event::FetchStart {
-                url: f.url.clone(),
-                t_ms: base_ms + f.started.as_millis_f64(),
-            });
-            recorder.record(&Event::FetchEnd {
-                url: f.url.clone(),
-                t_ms: base_ms + f.completed.as_millis_f64(),
-                outcome: crate::browser::fetch_kind(f.outcome),
-                bytes_down: f.bytes_down,
-                bytes_up: f.bytes_up,
-                rtts: f.rtts,
-            });
-        }
-        recorder.record(&Event::PageLoadEnd {
-            page,
-            t_ms: base_ms + report.plt.as_secs_f64() * 1000.0,
-            resources: report.trace.fetches.len(),
-            plt_ms: report.plt.as_secs_f64() * 1000.0,
-        });
-        if report.retries > 0 {
-            recorder.record(&Event::FaultSummary {
-                t_ms: base_ms + report.plt.as_secs_f64() * 1000.0,
+            // The live path observes no cache delta and no audits.
+            LoadEvents {
+                page: base_url,
+                t_secs: self.now_secs,
+                trace: &report.trace,
+                plt_ms: report.plt.as_secs_f64() * 1000.0,
+                audits: &[],
+                delta: None,
                 faults_injected: 0,
                 retries: report.retries,
                 degraded: 0,
-            });
+            }
+            .emit(recorder.as_ref());
         }
+        Ok(report)
     }
 
     fn fetch_task(
@@ -266,8 +216,7 @@ impl LiveBrowser {
     ) -> impl Future<Output = std::io::Result<FetchDone>> + Send + 'static {
         let dialer = Arc::clone(&self.dialer);
         let mode = self.mode;
-        let cache = Arc::clone(&self.cache);
-        let sw = Arc::clone(&self.sw);
+        let caches = Arc::clone(&self.caches);
         let pools = Arc::clone(&self.pools);
         let now_secs = self.now_secs;
         let parse_base = self.parse_base;
@@ -278,75 +227,30 @@ impl LiveBrowser {
         async move {
             let mut retries = 0u32;
             let discovered = t0.elapsed();
-            let path = url.path().to_owned();
             let mut req = Request::get(&url.target().to_string())
                 .with_header(HeaderName::HOST, &url.authority())
                 .with_header(HeaderName::USER_AGENT, "cachecatalyst-live/0.1");
 
-            // --- serving decision (mirrors the simulator engine) ---
-            let mut outcome = FetchOutcome::FullTransfer;
-            let mut local: Option<Response> = None;
-            match mode {
-                LiveMode::Catalyst => {
-                    if is_navigation {
-                        let guard = sw.lock().await;
-                        if let Some(tag) = guard.cached_etag(&url.to_string()) {
-                            let tag = tag.to_string();
-                            drop(guard);
-                            req.headers.insert(HeaderName::IF_NONE_MATCH, &tag);
-                        }
-                    } else {
-                        match sw.lock().await.intercept(&url.to_string(), &path) {
-                            SwDecision::ServeLocal(resp) => {
-                                outcome = FetchOutcome::ServiceWorkerHit;
-                                local = Some(resp);
-                            }
-                            SwDecision::Forward { if_none_match } => {
-                                if let Some(tag) = if_none_match {
-                                    req.headers
-                                        .insert(HeaderName::IF_NONE_MATCH, &tag.to_string());
-                                }
-                            }
-                        }
-                    }
+            let (decision, _) = caches
+                .lock()
+                .expect("planner state poisoned")
+                .planner(mode, now_secs)
+                .decide(&url, &mut req, is_navigation);
+            let (delivered, outcome) = match decision {
+                Decision::Local {
+                    response, outcome, ..
+                } => (response, outcome),
+                Decision::ServeStale { .. } => {
+                    unreachable!("live loads never serve stale-while-revalidate")
                 }
-                LiveMode::Baseline => {
-                    match cache
-                        .lock()
-                        .await
-                        .lookup_for(&url.to_string(), &req, now_secs)
-                    {
-                        Lookup::Fresh(resp) => {
-                            outcome = FetchOutcome::CacheHit;
-                            local = Some(resp);
-                        }
-                        Lookup::Stale {
-                            etag,
-                            last_modified,
-                            ..
-                        } => {
-                            if let Some(tag) = etag {
-                                req.headers.insert(HeaderName::IF_NONE_MATCH, &tag);
-                            } else if let Some(lm) = last_modified {
-                                req.headers.insert(HeaderName::IF_MODIFIED_SINCE, &lm);
-                            }
-                        }
-                        Lookup::Miss => {}
-                    }
-                }
-                LiveMode::Uncached => {}
-            }
-
-            let delivered = match local {
-                Some(resp) => resp,
-                None => {
+                Decision::Network => {
                     // --- network fetch through the host pool ---
                     let pool = {
                         let mut pools = pools.lock().await;
                         Arc::clone(pools.entry(url.host().to_owned()).or_insert_with(|| {
                             Arc::new(HostPool {
                                 permits: Semaphore::new(6),
-                                state: Mutex::new(PoolState { idle: Vec::new() }),
+                                idle: Mutex::new(Vec::new()),
                             })
                         }))
                     };
@@ -358,17 +262,11 @@ impl LiveBrowser {
                     // never returned to the pool.
                     let mut attempt = 0u32;
                     let resp = loop {
-                        let pooled = {
-                            let mut state = pool.state.lock().await;
-                            state.idle.pop()
-                        };
+                        let pooled = pool.idle.lock().await.pop();
                         let result = async {
                             let mut conn = match pooled {
                                 Some(conn) => conn,
-                                None => {
-                                    let stream = (dialer)(url.host().to_owned()).await?;
-                                    ClientConn::new(stream)
-                                }
+                                None => ClientConn::new((dialer)(url.host().to_owned()).await?),
                             };
                             let resp = conn
                                 .round_trip(&req)
@@ -378,7 +276,7 @@ impl LiveBrowser {
                         };
                         match tokio::time::timeout(fetch_timeout, result).await {
                             Ok(Ok((conn, resp))) => {
-                                pool.state.lock().await.idle.push(conn);
+                                pool.idle.lock().await.push(conn);
                                 break resp;
                             }
                             Ok(Err(e)) if attempt >= max_retries => return Err(e),
@@ -396,85 +294,50 @@ impl LiveBrowser {
                             }
                         }
                     };
-
-                    // --- post-processing (store / refresh) ---
-                    match mode {
-                        LiveMode::Catalyst => {
-                            let mut guard = sw.lock().await;
-                            if is_navigation {
-                                guard.on_navigation(&resp);
-                            }
-                            if resp.status == StatusCode::NOT_MODIFIED {
-                                outcome = FetchOutcome::NotModified;
-                            }
-                            guard.on_response(&url.to_string(), &resp)
-                        }
-                        LiveMode::Baseline => {
-                            let mut guard = cache.lock().await;
-                            if resp.status == StatusCode::NOT_MODIFIED {
-                                outcome = FetchOutcome::NotModified;
-                                guard
-                                    .update_with_304(&url.to_string(), &resp, now_secs, now_secs)
-                                    .unwrap_or(resp)
-                            } else {
-                                guard.store(&url.to_string(), &req, &resp, now_secs, now_secs);
-                                resp
-                            }
-                        }
-                        LiveMode::Uncached => resp,
-                    }
+                    let absorbed = caches
+                        .lock()
+                        .expect("planner state poisoned")
+                        .planner(mode, now_secs)
+                        .absorb(&url, &req, resp, is_navigation);
+                    (absorbed.response, absorbed.outcome)
                 }
             };
 
             // --- content processing: discover children ---
-            let mut links: Vec<Url> = Vec::new();
+            let mut links = Vec::new();
             if delivered.status.is_success() {
-                let kind = ResourceKind::from_path(&path);
-                if let Ok(text) = std::str::from_utf8(&delivered.body) {
-                    let hrefs: Vec<String> = match kind {
-                        ResourceKind::Html => {
-                            tokio::time::sleep(parse_base).await;
-                            extract_html_links(text)
-                                .into_iter()
-                                .map(|l| l.href)
-                                .collect()
-                        }
-                        ResourceKind::Css => {
-                            tokio::time::sleep(parse_base).await;
-                            extract_css_links(text)
-                                .into_iter()
-                                .map(|l| l.href)
-                                .collect()
-                        }
-                        ResourceKind::Js => {
-                            tokio::time::sleep(exec_base).await;
-                            jsdialect::evaluate(text)
-                        }
-                        _ => Vec::new(),
-                    };
-                    for href in hrefs {
-                        if href == cachecatalyst_catalyst::SW_SCRIPT_PATH {
-                            continue;
-                        }
-                        if let Ok(u) = url.join(&href) {
-                            links.push(u);
-                        }
-                    }
+                let kind = ResourceKind::from_path(url.path());
+                match kind {
+                    ResourceKind::Html | ResourceKind::Css => tokio::time::sleep(parse_base).await,
+                    ResourceKind::Js => tokio::time::sleep(exec_base).await,
+                    _ => {}
                 }
+                links = FetchPlanner::discover(&url, kind, &delivered.body);
             }
 
-            let bytes_down = if outcome.used_network() {
-                delivered.body.len() as u64
-            } else {
-                0
-            };
+            let network = outcome.used_network();
+            let since_t0 = |d: Duration| SimTime::from_nanos(d.as_nanos() as u64);
             Ok(FetchDone {
-                url,
-                discovered,
-                completed: t0.elapsed(),
-                outcome,
-                bytes_down,
-                bytes_up: 0,
+                fetch: FetchTrace {
+                    url: url.to_string(),
+                    discovered: since_t0(discovered),
+                    started: since_t0(discovered),
+                    completed: since_t0(t0.elapsed()),
+                    outcome,
+                    bytes_down: if network {
+                        delivered.body.len() as u64
+                    } else {
+                        0
+                    },
+                    bytes_up: 0,
+                    // Live fetches reuse pooled keep-alive connections:
+                    // one request/response round trip per network fetch.
+                    rtts: network as u32,
+                    // The live path doesn't observe intra-request phase
+                    // boundaries; HAR export degrades gracefully.
+                    upload_done: None,
+                    response_start: None,
+                },
                 links,
                 retries,
             })
@@ -483,12 +346,8 @@ impl LiveBrowser {
 }
 
 struct FetchDone {
-    url: Url,
-    discovered: Duration,
-    completed: Duration,
-    outcome: FetchOutcome,
-    bytes_down: u64,
-    bytes_up: u64,
+    fetch: FetchTrace,
+    /// The subresources the body references.
     links: Vec<Url>,
     retries: u32,
 }
